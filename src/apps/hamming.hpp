@@ -37,9 +37,8 @@ public:
     /// Store a fully-definite word. Throws on width mismatch or wildcards.
     void add(const tcam::TernaryWord& word);
 
-    std::size_t size() const { return rows_.size(); }
+    std::size_t size() const { return static_cast<std::size_t>(planes_.rows()); }
     std::size_t bits() const { return bits_; }
-    const std::vector<tcam::TernaryWord>& rows() const { return rows_; }
 
     /// Exact nearest row by Hamming distance (golden model).
     NearestResult nearest(const tcam::TernaryWord& query) const;
@@ -65,8 +64,7 @@ public:
 
 private:
     std::size_t bits_;
-    std::vector<tcam::TernaryWord> rows_;
-    tcam::TernaryPlanes planes_;  ///< bit-sliced mirror of rows_, all occupied
+    tcam::TernaryPlanes planes_;  ///< the stored rows, bit-sliced, all occupied
 };
 
 }  // namespace fetcam::apps

@@ -35,9 +35,9 @@ public:
         return true;
     }
 
-    bool getBytes(std::string& out, std::size_t n) {
+    bool getView(std::string_view& out, std::size_t n) {
         if (data_.size() - pos_ < n) return false;
-        out.assign(data_.data() + pos_, n);
+        out = data_.substr(pos_, n);
         pos_ += n;
         return true;
     }
@@ -53,6 +53,23 @@ private:
 bool fail(std::string* err, const char* what) {
     if (err) *err = what;
     return false;
+}
+
+constexpr const char* kBadTritByte = "trit byte outside {0,1,2}";
+
+/// Decode `count` keys of `wordBits` trit bytes each (the caller checked
+/// the body holds exactly that many bytes).
+bool decodeKeys(Reader& r, std::uint32_t count, std::uint32_t wordBits,
+                std::vector<tcam::TernaryWord>& keys, std::string* err) {
+    keys.reserve(count);
+    for (std::uint32_t k = 0; k < count; ++k) {
+        std::string_view bytes;
+        r.getView(bytes, wordBits);
+        auto word = tcam::wordFromTritBytes(bytes);
+        if (!word) return fail(err, kBadTritByte);
+        keys.push_back(std::move(*word));
+    }
+    return true;
 }
 
 }  // namespace
@@ -198,9 +215,7 @@ std::string encodeQueryBatch(const QueryBatchBody& batch) {
     put64(body, batch.requestId);
     put32(body, batch.deadlineMicros);
     put32(body, static_cast<std::uint32_t>(batch.keys.size()));
-    for (const auto& key : batch.keys)
-        for (std::size_t i = 0; i < key.size(); ++i)
-            put8(body, static_cast<std::uint8_t>(key[i]));
+    for (const auto& key : batch.keys) tcam::appendTritBytes(body, key);
     return body;
 }
 
@@ -221,20 +236,7 @@ std::optional<QueryBatchBody> decodeQueryBatch(std::string_view body, std::uint3
         fail(err, "QueryBatch body length does not match count * wordBits");
         return std::nullopt;
     }
-    b.keys.reserve(count);
-    for (std::uint32_t k = 0; k < count; ++k) {
-        tcam::TernaryWord word(wordBits);
-        for (std::uint32_t i = 0; i < wordBits; ++i) {
-            std::uint8_t trit = 0;
-            r.get(trit);
-            if (trit > 2) {
-                fail(err, "trit byte outside {0,1,2}");
-                return std::nullopt;
-            }
-            word[i] = static_cast<tcam::Trit>(trit);
-        }
-        b.keys.push_back(std::move(word));
-    }
+    if (!decodeKeys(r, count, wordBits, b.keys, err)) return std::nullopt;
     return b;
 }
 
@@ -286,9 +288,7 @@ std::string encodeMutate(const MutateBody& mutate) {
     for (const auto& op : mutate.ops) {
         put8(body, static_cast<std::uint8_t>(op.op));
         put64(body, static_cast<std::uint64_t>(op.row));
-        if (op.op != MutateOp::Erase)
-            for (std::size_t i = 0; i < op.word.size(); ++i)
-                put8(body, static_cast<std::uint8_t>(op.word[i]));
+        if (op.op != MutateOp::Erase) tcam::appendTritBytes(body, op.word);
     }
     return body;
 }
@@ -323,20 +323,17 @@ std::optional<MutateBody> decodeMutate(std::string_view body, std::uint32_t word
         spec.op = static_cast<MutateOp>(op);
         spec.row = static_cast<std::int64_t>(row);
         if (spec.op != MutateOp::Erase) {
-            tcam::TernaryWord word(wordBits);
-            for (std::uint32_t i = 0; i < wordBits; ++i) {
-                std::uint8_t trit = 0;
-                if (!r.get(trit)) {
-                    fail(err, "truncated Mutate word");
-                    return std::nullopt;
-                }
-                if (trit > 2) {
-                    fail(err, "trit byte outside {0,1,2}");
-                    return std::nullopt;
-                }
-                word[i] = static_cast<tcam::Trit>(trit);
+            std::string_view bytes;
+            if (!r.getView(bytes, wordBits)) {
+                fail(err, "truncated Mutate word");
+                return std::nullopt;
             }
-            spec.word = std::move(word);
+            auto word = tcam::wordFromTritBytes(bytes);
+            if (!word) {
+                fail(err, kBadTritByte);
+                return std::nullopt;
+            }
+            spec.word = std::move(*word);
         }
         b.ops.push_back(std::move(spec));
     }
@@ -405,9 +402,7 @@ std::string encodeSimilarity(const SimilarityBody& sim) {
     put32(body, sim.param);
     put32(body, sim.maxResults);
     put32(body, static_cast<std::uint32_t>(sim.keys.size()));
-    for (const auto& key : sim.keys)
-        for (std::size_t i = 0; i < key.size(); ++i)
-            put8(body, static_cast<std::uint8_t>(key[i]));
+    for (const auto& key : sim.keys) tcam::appendTritBytes(body, key);
     return body;
 }
 
@@ -445,20 +440,7 @@ std::optional<SimilarityBody> decodeSimilarity(std::string_view body, std::uint3
         fail(err, "Similarity body length does not match count * wordBits");
         return std::nullopt;
     }
-    b.keys.reserve(count);
-    for (std::uint32_t k = 0; k < count; ++k) {
-        tcam::TernaryWord word(wordBits);
-        for (std::uint32_t i = 0; i < wordBits; ++i) {
-            std::uint8_t trit = 0;
-            r.get(trit);
-            if (trit > 2) {
-                fail(err, "trit byte outside {0,1,2}");
-                return std::nullopt;
-            }
-            word[i] = static_cast<tcam::Trit>(trit);
-        }
-        b.keys.push_back(std::move(word));
-    }
+    if (!decodeKeys(r, count, wordBits, b.keys, err)) return std::nullopt;
     return b;
 }
 

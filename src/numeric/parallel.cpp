@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <exception>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+#include "recover/sim_error.hpp"
 
 namespace fetcam::numeric {
 
@@ -49,6 +55,31 @@ int parseJobs(const std::string& text) {
     if (value <= 0) return hardwareConcurrency();
     return static_cast<int>(std::min<long long>(value, kMaxJobs));
 }
+
+template <typename T>
+T parseNumber(const std::string& flag, const std::string& text) {
+    T value{};
+    const char* last = text.data() + text.size();
+    std::from_chars_result r{};
+    if constexpr (std::is_floating_point_v<T>)
+        r = std::from_chars(text.data(), last, value, std::chars_format::general);
+    else
+        r = std::from_chars(text.data(), last, value, 10);
+    if (r.ec == std::errc::result_out_of_range)
+        throw recover::SimError(recover::SimErrorReason::InvalidSpec, "parseNumber",
+                                flag + " value '" + text + "' is out of range");
+    bool ok = !text.empty() && r.ec == std::errc() && r.ptr == last;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (!ok)
+        throw recover::SimError(recover::SimErrorReason::InvalidSpec, "parseNumber",
+                                flag + " expects a number, got '" + text + "'");
+    return value;
+}
+
+template int parseNumber<int>(const std::string&, const std::string&);
+template std::int64_t parseNumber<std::int64_t>(const std::string&, const std::string&);
+template std::uint64_t parseNumber<std::uint64_t>(const std::string&, const std::string&);
+template double parseNumber<double>(const std::string&, const std::string&);
 
 void parallelFor(int jobs, int count, const std::function<void(int)>& fn) {
     if (count <= 0) return;

@@ -46,6 +46,15 @@ inline constexpr int kMaxJobs = 1024;
 /// Returns the resolved worker count (always in [1, kMaxJobs]).
 int parseJobs(const std::string& text);
 
+/// The one strict parser behind the CLI tools' numeric flags: all of `text`
+/// must be a single decimal number of type T (int, std::int64_t,
+/// std::uint64_t or double) that fits T — no sign on unsigned types, no
+/// leading blanks, no trailing characters ("80x"), and finite for double.
+/// Anything else throws recover::SimError(InvalidSpec) naming `flag`,
+/// instead of silently becoming 0 or a prefix the way atoi/atof do.
+template <typename T>
+T parseNumber(const std::string& flag, const std::string& text);
+
 /// Run fn(i) for i in [0, count). With jobs <= 1 (or count <= 1, or when
 /// called from inside another parallelFor) the loop runs inline on the
 /// calling thread in index order. Otherwise min(jobs, count) threads pull

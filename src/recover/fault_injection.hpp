@@ -26,7 +26,7 @@
 // plan per trial (fresh solve ordinals each trial, so injection windows are
 // trial-relative and independent of the execution schedule) and folds the
 // clones' counters back into the caller's plan with absorb(). Other parallel
-// sweeps (searchMany, tuner, design space) do not propagate plans.
+// sweeps (engine batches, tuner, design space) do not propagate plans.
 #pragma once
 
 #include <limits>

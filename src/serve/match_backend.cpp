@@ -43,7 +43,11 @@ public:
         entries_[static_cast<std::size_t>(row)].reset();
     }
 
-    const std::optional<tcam::TernaryWord>& at(std::int64_t row) const override {
+    bool occupied(std::int64_t row) const override {
+        return entries_[static_cast<std::size_t>(row)].has_value();
+    }
+
+    std::optional<tcam::TernaryWord> at(std::int64_t row) const override {
         return entries_[static_cast<std::size_t>(row)];
     }
 
@@ -75,29 +79,25 @@ private:
     std::vector<std::optional<tcam::TernaryWord>> entries_;
 };
 
-/// Bit-plane backend: the planes answer every search; a word mirror serves
-/// at() so introspection stays exact without unpacking trits from planes.
+/// Bit-plane backend: the planes are the only stored copy of each entry.
+/// They answer every search, and at() decodes a row back out of them.
 class BitPlaneBackend final : public MatchBackend {
 public:
     BitPlaneBackend(std::int64_t rows, int bits)
-        : MatchBackend(rows, bits),
-          planes_(bits, rows),
-          mirror_(static_cast<std::size_t>(rows)) {}
+        : MatchBackend(rows, bits), planes_(bits, rows) {}
 
     MatchBackendKind kind() const noexcept override { return MatchBackendKind::BitPlane; }
 
     void set(std::int64_t row, const tcam::TernaryWord& word) override {
         planes_.set(row, word);
-        mirror_[static_cast<std::size_t>(row)] = word;
     }
 
-    void clear(std::int64_t row) override {
-        planes_.clear(row);
-        mirror_[static_cast<std::size_t>(row)].reset();
-    }
+    void clear(std::int64_t row) override { planes_.clear(row); }
 
-    const std::optional<tcam::TernaryWord>& at(std::int64_t row) const override {
-        return mirror_[static_cast<std::size_t>(row)];
+    bool occupied(std::int64_t row) const override { return planes_.occupied(row); }
+
+    std::optional<tcam::TernaryWord> at(std::int64_t row) const override {
+        return planes_.at(row);
     }
 
     std::unique_ptr<MatchBackend> clone() const override {
@@ -119,7 +119,6 @@ public:
 
 private:
     tcam::TernaryPlanes planes_;
-    std::vector<std::optional<tcam::TernaryWord>> mirror_;
 };
 
 /// Paranoid mode: every query runs on both backends and any divergence is a
@@ -142,8 +141,30 @@ public:
         planes_.clear(row);
     }
 
-    const std::optional<tcam::TernaryWord>& at(std::int64_t row) const override {
-        return planes_.at(row);
+    bool occupied(std::int64_t row) const override {
+        const bool fast = planes_.occupied(row);
+        if (fast != scalar_.occupied(row)) {
+            std::ostringstream os;
+            os << "bit-plane occupancy diverged from scalar oracle at row " << row
+               << ": bitplane " << fast << ", scalar " << !fast;
+            throw recover::SimError(recover::SimErrorReason::CorruptData,
+                                    "MatchBackend::occupied", os.str());
+        }
+        return fast;
+    }
+
+    std::optional<tcam::TernaryWord> at(std::int64_t row) const override {
+        auto fast = planes_.at(row);
+        const auto oracle = scalar_.at(row);
+        if (fast != oracle) {
+            std::ostringstream os;
+            os << "bit-plane row decode diverged from scalar oracle at row " << row
+               << ": bitplane " << (fast ? fast->toString() : "empty") << ", scalar "
+               << (oracle ? oracle->toString() : "empty");
+            throw recover::SimError(recover::SimErrorReason::CorruptData,
+                                    "MatchBackend::at", os.str());
+        }
+        return fast;
     }
 
     std::unique_ptr<MatchBackend> clone() const override {

@@ -19,20 +19,6 @@ std::shared_ptr<CharacterizationCache> makeCache(const EngineOptions& options) {
     return std::make_shared<CharacterizationCache>();
 }
 
-std::string tritsOf(const tcam::TernaryWord& word) {
-    std::string trits(word.size(), '\0');
-    for (std::size_t i = 0; i < word.size(); ++i)
-        trits[i] = static_cast<char>(static_cast<int>(word[i]));
-    return trits;
-}
-
-tcam::TernaryWord wordOf(const std::string& trits) {
-    tcam::TernaryWord word(trits.size());
-    for (std::size_t i = 0; i < trits.size(); ++i)
-        word[i] = static_cast<tcam::Trit>(static_cast<unsigned char>(trits[i]));
-    return word;
-}
-
 }  // namespace
 
 QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<CharacterizationCache> cache)
@@ -124,9 +110,10 @@ void QueryEngine::attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& sha
             auto& shard = shards[static_cast<std::size_t>(d.row / rowsPerShard_)];
             const std::int64_t local = d.row % rowsPerShard_;
             if (d.op == store::DeltaOp::Insert) {
-                if (!shard->at(local)) ++occupied;
-                shard->set(local, wordOf(d.trits));
-            } else if (shard->at(local)) {
+                if (!shard->occupied(local)) ++occupied;
+                // unpackDelta rejected any trit byte outside {0,1,2}.
+                shard->set(local, *tcam::wordFromTritBytes(d.trits));
+            } else if (shard->occupied(local)) {
                 shard->clear(local);
                 --occupied;
             }
@@ -156,6 +143,10 @@ void QueryEngine::degradeTableLogLocked(const recover::SimError& e) {
     tableLogStatus_.error = e.what();
     tableLog_.reset();
     if (obs::enabled()) obs::counter("store.degraded").add();
+}
+
+const MatchBackend& QueryEngine::shardOf(const Table& table, std::int64_t row) const {
+    return *table[static_cast<std::size_t>(row / rowsPerShard_)];
 }
 
 void QueryEngine::checkRow(std::int64_t row) const {
@@ -236,7 +227,7 @@ void QueryEngine::recordMutationLocked(bool isInsert, std::int64_t row,
         store::DeltaRecord d;
         d.op = isInsert ? store::DeltaOp::Insert : store::DeltaOp::Erase;
         d.row = row;
-        if (word) d.trits = tritsOf(*word);
+        if (word) tcam::appendTritBytes(d.trits, *word);
         const store::Record rec = store::packDelta(d);
         try {
             tableLog_->append(rec.key, rec.payload);
@@ -256,8 +247,7 @@ std::int64_t QueryEngine::insert(const tcam::TernaryWord& word) {
     // Every row below freeHint_ is occupied (erase lowers the hint), so
     // starting the scan there assigns exactly the row a scan from 0 would.
     for (std::int64_t r = freeHint_; r < capacity_; ++r) {
-        if ((*table)[static_cast<std::size_t>(r / rowsPerShard_)]->at(r % rowsPerShard_))
-            continue;
+        if (shardOf(*table, r).occupied(r % rowsPerShard_)) continue;
         publishMutationLocked(*table, r, &word);
         occupied_.fetch_add(1, std::memory_order_relaxed);
         freeHint_ = r + 1;
@@ -274,8 +264,7 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
                                 "QueryEngine::insertAt", "word width mismatch");
     std::lock_guard<std::mutex> lock(mutMutex_);
     const auto table = table_.load(std::memory_order_acquire);
-    const bool wasEmpty =
-        !(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_);
+    const bool wasEmpty = !shardOf(*table, row).occupied(row % rowsPerShard_);
     publishMutationLocked(*table, row, &word);
     if (wasEmpty) occupied_.fetch_add(1, std::memory_order_relaxed);
     // Overwriting an occupied row is still a full word program — charge it.
@@ -286,7 +275,7 @@ void QueryEngine::erase(std::int64_t row) {
     checkRow(row);
     std::lock_guard<std::mutex> lock(mutMutex_);
     const auto table = table_.load(std::memory_order_acquire);
-    if (!(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_))
+    if (!shardOf(*table, row).occupied(row % rowsPerShard_))
         return;  // no-op: nothing stored, nothing charged, nothing logged
     publishMutationLocked(*table, row, nullptr);
     occupied_.fetch_sub(1, std::memory_order_relaxed);
@@ -297,7 +286,7 @@ void QueryEngine::erase(std::int64_t row) {
 std::optional<tcam::TernaryWord> QueryEngine::entryAt(std::int64_t row) const {
     checkRow(row);
     const auto table = table_.load(std::memory_order_acquire);
-    return (*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_);
+    return shardOf(*table, row).at(row % rowsPerShard_);
 }
 
 BatchResult QueryEngine::searchBatch(const std::vector<tcam::TernaryWord>& keys, int jobs) {
@@ -627,13 +616,12 @@ bool QueryEngine::compactTable() {
     std::vector<store::Record> records;
     records.reserve(static_cast<std::size_t>(occupied_.load(std::memory_order_relaxed)));
     for (std::int64_t row = 0; row < capacity_; ++row) {
-        const auto& entry =
-            (*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_);
+        const auto entry = shardOf(*table, row).at(row % rowsPerShard_);
         if (!entry) continue;
         store::DeltaRecord d;
         d.op = store::DeltaOp::Insert;
         d.row = row;
-        d.trits = tritsOf(*entry);
+        tcam::appendTritBytes(d.trits, *entry);
         records.push_back(store::packDelta(d));
     }
     try {

@@ -213,7 +213,10 @@ struct SubmitOptions {
 
 class QueryEngine {
 public:
-    /// Functional storage ceiling (same rationale as TcamMacro's).
+    /// Functional storage ceiling: the analytic bank model prices any
+    /// capacity, but the engine materializes every entry, so beyond this
+    /// construction raises InvalidSpec instead of attempting a multi-GiB
+    /// allocation.
     static constexpr std::int64_t kMaxCapacity = std::int64_t{1} << 28;
 
     /// Characterizes the bank up front through `cache` (shared across
@@ -329,6 +332,8 @@ private:
     using Table = std::vector<std::shared_ptr<const MatchBackend>>;
 
     void checkRow(std::int64_t row) const;
+    /// The shard snapshot holding global `row` (local index row % rowsPerShard_).
+    const MatchBackend& shardOf(const Table& table, std::int64_t row) const;
     /// searchBatch with an optional per-query skip mask (expired deadlines):
     /// masked queries get kRowDeadlineExpired without being scanned.
     BatchResult searchBatchMasked(const std::vector<tcam::TernaryWord>& keys,

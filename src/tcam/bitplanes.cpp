@@ -55,6 +55,21 @@ void TernaryPlanes::set(std::int64_t row, const TernaryWord& word) {
     occ_[static_cast<std::size_t>(block)] |= rowBit;
 }
 
+std::optional<TernaryWord> TernaryPlanes::at(std::int64_t row) const {
+    if (!occupied(row)) return std::nullopt;
+    const std::int64_t block = row >> 6;
+    const int shift = static_cast<int>(row & 63);
+    const std::uint64_t* value = value_.data() + planeIndex(block, 0);
+    const std::uint64_t* care = care_.data() + planeIndex(block, 0);
+    TernaryWord word(static_cast<std::size_t>(bits_));
+    for (int b = 0; b < bits_; ++b) {
+        if ((care[b] >> shift) & 1u)
+            word[static_cast<std::size_t>(b)] =
+                (value[b] >> shift) & 1u ? Trit::One : Trit::Zero;
+    }
+    return word;
+}
+
 void TernaryPlanes::clear(std::int64_t row) {
     occ_[static_cast<std::size_t>(row >> 6)] &= ~(std::uint64_t{1} << (row & 63));
 }

@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tcam/ternary.hpp"
@@ -69,6 +70,12 @@ public:
     bool occupied(std::int64_t row) const {
         return (occ_[static_cast<std::size_t>(row >> 6)] >> (row & 63)) & 1u;
     }
+
+    /// The word stored at `row` decoded from the planes (care bit 0 -> X,
+    /// otherwise the value bit), or nullopt when the row is unoccupied. The
+    /// planes are the only stored copy of a word, as the cells are in the
+    /// array; this is the read-back path, not the search path.
+    std::optional<TernaryWord> at(std::int64_t row) const;
 
     /// Lowest occupied row in [begin, end) matching `key`, or -1 — the
     /// shard-local priority encoder. begin/end need not be 64-aligned.

@@ -74,4 +74,18 @@ std::size_t TernaryWord::wildcardCount() const {
     return n;
 }
 
+void appendTritBytes(std::string& out, const TernaryWord& word) {
+    for (std::size_t i = 0; i < word.size(); ++i) out.push_back(static_cast<char>(word[i]));
+}
+
+std::optional<TernaryWord> wordFromTritBytes(std::string_view bytes) {
+    TernaryWord word(bytes.size());
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        const auto b = static_cast<unsigned char>(bytes[i]);
+        if (b > static_cast<unsigned char>(Trit::X)) return std::nullopt;
+        word[i] = static_cast<Trit>(b);
+    }
+    return word;
+}
+
 }  // namespace fetcam::tcam

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fetcam::tcam {
@@ -65,5 +67,14 @@ public:
 private:
     std::vector<Trit> trits_;
 };
+
+/// Byte-per-trit codec: one byte per position in word order, holding the
+/// Trit value (0 = Zero, 1 = One, 2 = X). It is the key/word format of the
+/// net protocol frames and of the persisted entry delta log.
+void appendTritBytes(std::string& out, const TernaryWord& word);
+
+/// Inverse of appendTritBytes: a bytes.size()-wide word, or nullopt when a
+/// byte lies outside {0, 1, 2}.
+std::optional<TernaryWord> wordFromTritBytes(std::string_view bytes);
 
 }  // namespace fetcam::tcam

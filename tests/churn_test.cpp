@@ -255,12 +255,15 @@ TEST(ChurnConcurrency, ConcurrentSearchResultsAreValidAtSomeMutationPoint) {
 
     tcam::TernaryWord probe = definiteWord(0xFFFF, 16);  // bit0 = 1: hits both
 
+    constexpr int kSearchers = 3;
     std::atomic<bool> stop{false};
+    std::atomic<int> searching{0};  // searchers that finished a batch
     std::atomic<std::int64_t> failures{0};
     std::vector<std::thread> searchers;
-    for (int s = 0; s < 3; ++s)
+    for (int s = 0; s < kSearchers; ++s)
         searchers.emplace_back([&] {
             const std::vector<tcam::TernaryWord> keys(8, probe);
+            bool counted = false;
             while (!stop.load(std::memory_order_relaxed)) {
                 const auto result = engine.searchBatch(keys);
                 for (const auto row : result.rows)
@@ -270,10 +273,18 @@ TEST(ChurnConcurrency, ConcurrentSearchResultsAreValidAtSomeMutationPoint) {
                 (void)engine.stats();
                 (void)engine.occupancy();
                 (void)engine.entryAt(kFlap);
+                if (!counted) {
+                    searching.fetch_add(1, std::memory_order_release);
+                    counted = true;
+                }
             }
         });
 
     std::thread mutator([&] {
+        // Flap only once every searcher is running: a mutator that finishes
+        // before the searchers start would leave nothing to race against.
+        while (searching.load(std::memory_order_acquire) < kSearchers)
+            std::this_thread::yield();
         for (int i = 0; i < 400; ++i) {
             if (i % 2 == 0)
                 engine.erase(kFlap);

@@ -12,6 +12,7 @@
 //      whatever bytes arrive, the server keeps serving well-formed peers.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -453,6 +454,13 @@ TEST(NetServer, ClientFaultPlanInjectsTornFrame) {
 }
 
 TEST(NetServer, DrainAnswersInFlightThenExits) {
+    // The server's net.queries obs counter is atomic, so the test can wait
+    // for the query to be queued without reading ServerStats across threads.
+    const bool obsWasOn = obs::enabled();
+    obs::setEnabled(true);
+    obs::Counter& received = obs::counter("net.queries");
+    const long long before = received.value();
+
     net::ServerOptions opts;
     opts.coalesceWindow = 0.2;  // queries sit pending when the stop arrives
     ServerHarness h(opts);
@@ -466,10 +474,16 @@ TEST(NetServer, DrainAnswersInFlightThenExits) {
         EXPECT_EQ(res.reply.rows[0], 0);
         EXPECT_EQ(res.reply.rows[1], -1);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Stop only once the server has queued both queries: a stop that lands
+    // before the frame is read would test refusal, not drain.
+    const auto giveUp = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (received.value() < before + 2 && std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(received.value(), before + 2) << "the query never reached the server";
     h.server().requestStop();
     querier.join();
     h.stop();
+    obs::setEnabled(obsWasOn);
 
     EXPECT_TRUE(h.stats().drained);
     EXPECT_FALSE(h.stats().drainForced);

@@ -1,18 +1,22 @@
 // Parallel sweep engine tests: parallelFor semantics, and the determinism
 // contract of the sweeps built on it — Monte Carlo with jobs=N must be
 // bit-for-bit identical to jobs=1 (including failure accounting under an
-// installed FaultPlan), and searchMany must equal a sequential search loop.
+// installed FaultPlan), and an engine batch fanned out across workers must
+// equal a sequential per-key search loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "array/montecarlo.hpp"
-#include "core/tcam_macro.hpp"
 #include "numeric/parallel.hpp"
 #include "recover/fault_injection.hpp"
+#include "recover/sim_error.hpp"
+#include "serve/query_engine.hpp"
 
 using namespace fetcam;
 
@@ -87,6 +91,54 @@ TEST(ParallelFor, ParseJobsSharedSemantics) {
     EXPECT_THROW(numeric::parseJobs("1e9"), std::invalid_argument);
     EXPECT_THROW(numeric::parseJobs(""), std::invalid_argument);
     EXPECT_THROW(numeric::parseJobs("2.5"), std::invalid_argument);
+}
+
+TEST(ParallelFor, ParseNumberIsStrict) {
+    // The one numeric-flag parser of fetcam_serve and fetcam_load.
+    EXPECT_EQ(numeric::parseNumber<int>("--rows", "16"), 16);
+    EXPECT_EQ(numeric::parseNumber<int>("--retries", "-3"), -3);
+    EXPECT_EQ(numeric::parseNumber<std::int64_t>("--entries", "65536"), 65536);
+    EXPECT_EQ(numeric::parseNumber<double>("--deadline-ms", "2.5"), 2.5);
+    EXPECT_EQ(numeric::parseNumber<double>("--coalesce-us", "1e3"), 1000.0);
+    // --seed keeps the full uint64 range.
+    EXPECT_EQ(numeric::parseNumber<std::uint64_t>("--seed", "18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+
+    const auto rejects = [](auto parsed, const char* text) {
+        try {
+            (void)parsed(text);
+            ADD_FAILURE() << "accepted '" << text << "'";
+        } catch (const recover::SimError& e) {
+            EXPECT_EQ(e.reason(), recover::SimErrorReason::InvalidSpec) << text;
+        }
+    };
+    const auto asInt = [](const char* t) { return numeric::parseNumber<int>("--flag", t); };
+    const auto asU64 = [](const char* t) {
+        return numeric::parseNumber<std::uint64_t>("--flag", t);
+    };
+    const auto asDouble = [](const char* t) {
+        return numeric::parseNumber<double>("--flag", t);
+    };
+    // atoi would have read these as 0, 80, 4 and 0: silent misconfigurations.
+    for (const char* bad : {"abc", "80x", "4k", "", " 5", "+5", "2.5", "1e9", "4294967296"})
+        rejects(asInt, bad);
+    for (const char* bad : {"-1", "18446744073709551616", "0x10"}) rejects(asU64, bad);
+    for (const char* bad : {"abc", "1.5ms", "inf", "nan", "1e999"}) rejects(asDouble, bad);
+}
+
+TEST(ParallelFor, ParseNumberAcceptsBenchmarkServeArgs) {
+    // The numeric flags the perfledger benchmark passes to fetcam_serve
+    // (--listen 0 --entries 4096 --word-bits 64 --jobs 1 --seed S, with
+    // S = seed * 7919 + 17), parsed as the tool parses them.
+    EXPECT_EQ(numeric::parseNumber<int>("--listen", "0"), 0);
+    EXPECT_EQ(numeric::parseNumber<std::int64_t>("--entries", std::to_string(4096)), 4096);
+    EXPECT_EQ(numeric::parseNumber<int>("--word-bits", std::to_string(64)), 64);
+    EXPECT_EQ(numeric::parseJobs("1"), 1);
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{10}}) {
+        const std::uint64_t entrySeed = seed * 7919 + 17;
+        EXPECT_EQ(numeric::parseNumber<std::uint64_t>("--seed", std::to_string(entrySeed)),
+                  entrySeed);
+    }
 }
 
 namespace {
@@ -181,43 +233,54 @@ TEST(ParallelMonteCarlo, StrictModeThrowsSameErrorForAnyJobs) {
     }
 }
 
+namespace {
+
+/// An 8-bit engine whose batches split into one-key tiles, so a multi-key
+/// batch really fans out across the worker team.
+serve::QueryEngine oneKeyTileEngine() {
+    serve::EngineOptions options;
+    options.shard.cell = tcam::CellKind::FeFet2;
+    options.shard.wordBits = 8;
+    options.shard.rows = 8;
+    options.capacity = 8;
+    options.batchSize = 1;
+    return serve::QueryEngine(options);
+}
+
+}  // namespace
+
 TEST(ParallelSearch, SearchManyMatchesSequentialSearch) {
-    array::ArrayConfig cfg;
-    cfg.cell = tcam::CellKind::FeFet2;
-    cfg.wordBits = 8;
-    cfg.rows = 8;
-    core::TcamMacro a(device::TechCard::cmos45(), cfg, 8);
-    core::TcamMacro b(device::TechCard::cmos45(), cfg, 8);
+    auto a = oneKeyTileEngine();
+    auto b = oneKeyTileEngine();
     for (const char* w : {"1010XXXX", "10100000", "XXXXXXXX", "01010101"}) {
-        a.write(tcam::TernaryWord::fromString(w));
-        b.write(tcam::TernaryWord::fromString(w));
+        a.insert(tcam::TernaryWord::fromString(w));
+        b.insert(tcam::TernaryWord::fromString(w));
     }
     std::vector<tcam::TernaryWord> keys;
     for (const char* k : {"10100000", "10101111", "01010101", "00000000",
                           "11111111", "10100001"})
         keys.push_back(tcam::TernaryWord::fromString(k));
 
-    std::vector<std::optional<int>> expected;
-    for (const auto& k : keys) expected.push_back(a.search(k));
+    std::vector<std::int64_t> expected;
+    for (const auto& k : keys) expected.push_back(a.searchBatch({k}, /*jobs=*/1).rows[0]);
 
-    const auto got = b.searchMany(keys, /*jobs=*/4);
-    EXPECT_EQ(got, expected);
-    // Identical accounting: N searchMany keys cost the same as N searches.
-    EXPECT_EQ(a.stats().searches, b.stats().searches);
+    const auto got = b.searchBatch(keys, /*jobs=*/4);
+    EXPECT_EQ(got.rows, expected);
+    // Identical accounting: one N-key batch costs the same as N searches.
+    EXPECT_EQ(a.stats().queries, b.stats().queries);
     EXPECT_EQ(a.stats().hits, b.stats().hits);
     EXPECT_DOUBLE_EQ(a.stats().searchEnergy, b.stats().searchEnergy);
 }
 
 TEST(ParallelSearch, SearchManyValidatesAllKeysUpFront) {
-    array::ArrayConfig cfg;
-    cfg.cell = tcam::CellKind::FeFet2;
-    cfg.wordBits = 8;
-    cfg.rows = 8;
-    core::TcamMacro macro(device::TechCard::cmos45(), cfg, 8);
-    macro.write(tcam::TernaryWord::fromString("00000000"));
-    const auto before = macro.stats().searches;
+    auto engine = oneKeyTileEngine();
+    engine.insert(tcam::TernaryWord::fromString("00000000"));
+    const auto before = engine.stats();
     std::vector<tcam::TernaryWord> keys = {tcam::TernaryWord::fromString("00000000"),
                                            tcam::TernaryWord::fromString("00")};
-    EXPECT_THROW(macro.searchMany(keys), recover::SimError);
-    EXPECT_EQ(macro.stats().searches, before);  // nothing charged on reject
+    EXPECT_THROW(engine.searchBatch(keys, /*jobs=*/4), recover::SimError);
+    // Nothing charged on reject.
+    EXPECT_EQ(engine.stats().queries, before.queries);
+    EXPECT_EQ(engine.stats().batches, before.batches);
+    EXPECT_EQ(engine.stats().searchEnergy, before.searchEnergy);
 }

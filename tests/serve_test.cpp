@@ -9,13 +9,13 @@
 //      app services reproduce their reference implementations exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "core/tcam_macro.hpp"
 #include "numeric/stats.hpp"
 #include "obs/obs.hpp"
 #include "recover/sim_error.hpp"
@@ -139,14 +139,39 @@ TEST(CharCache, VariationsAndWaveformsBypass) {
 }
 
 TEST(CharCache, MacroBuildsThroughProvider) {
-    const auto tech = device::TechCard::cmos45();
-    const auto cfg = smallConfig();
+    // The engine characterizes its macro through the cache provider; the
+    // bank it serves must be bit-identical to the uncached bank model.
+    const auto options = smallOptions(8, 4, 8);
     auto cache = std::make_shared<serve::CharacterizationCache>();
-
-    core::TcamMacro plain(tech, cfg, 8);
-    core::TcamMacro cached(tech, cfg, 8, {}, cache->provider());
-    expectSameBank(plain.hardware(), cached.hardware());
+    serve::QueryEngine cached(options, cache);
+    expectSameBank(evaluateBank(options.tech, options.shard, 8), cached.hardware());
     EXPECT_GT(cache->stats().misses, 0);
+}
+
+TEST(QueryEngine, CapacityRoundsUpToWholeShards) {
+    serve::QueryEngine engine(smallOptions(8, 8, 10));  // -> 2 shards of 8 rows
+    EXPECT_EQ(engine.capacity(), 16);
+    EXPECT_EQ(engine.shards(), 2);
+    EXPECT_EQ(engine.hardware().subArrays, 2);
+    // The rounded-up rows are real, addressable rows.
+    engine.insertAt(15, tcam::TernaryWord(8));
+    EXPECT_TRUE(engine.entryAt(15).has_value());
+}
+
+TEST(QueryEngine, SearchAndWriteEnergyAccounting) {
+    serve::QueryEngine engine(smallOptions());
+    engine.insert(tcam::TernaryWord::fromString("00000000"));
+    engine.searchBatch({tcam::TernaryWord::fromString("00000000")});
+    engine.searchBatch({tcam::TernaryWord::fromString("11111111")});
+    const auto s = engine.stats();
+    EXPECT_EQ(s.inserts, 1);
+    EXPECT_EQ(s.queries, 2);
+    EXPECT_EQ(s.hits, 1);
+    EXPECT_DOUBLE_EQ(s.searchEnergy, 2.0 * engine.energyPerQuery());
+    EXPECT_DOUBLE_EQ(s.writeEnergy, engine.writeCost().energy);
+    EXPECT_GT(s.searchEnergy + s.writeEnergy, 0.0);
+    EXPECT_GT(engine.queryLatency(), 0.0);
+    EXPECT_GT(engine.writeCost().latency, 0.0);
 }
 
 TEST(QueryEngine, GlobalPriorityAcrossShards) {
@@ -236,6 +261,9 @@ TEST(QueryEngine, RejectsBadSpecsAndBadKeys) {
     EXPECT_THROW(engine.insertAt(-1, tcam::TernaryWord(8)), recover::SimError);
     EXPECT_THROW(engine.insertAt(12, tcam::TernaryWord(8)), recover::SimError);
     EXPECT_THROW(engine.insertAt(0, tcam::TernaryWord(9)), recover::SimError);
+    EXPECT_THROW(engine.insert(tcam::TernaryWord(2)), recover::SimError);
+    EXPECT_THROW(engine.erase(12), recover::SimError);
+    EXPECT_EQ(engine.occupancy(), 0);
 
     // A bad key anywhere in the batch fails up front: no partial accounting.
     std::vector<tcam::TernaryWord> keys{tcam::TernaryWord(8), tcam::TernaryWord(7)};
@@ -429,8 +457,15 @@ TEST(QueryEngineAdmission, ConcurrentOverloadSheds) {
         const std::vector<tcam::TernaryWord> bulk(
             static_cast<std::size_t>(big), tcam::TernaryWord::fromBits(5, 8));
         serve::SubmitResult bulkResult;
-        std::thread worker(
-            [&] { bulkResult = engine.submitBatch(bulk, /*jobs=*/1); });
+        std::atomic<bool> bulkDone{false};
+        std::thread worker([&] {
+            bulkResult = engine.submitBatch(bulk, /*jobs=*/1);
+            bulkDone.store(true, std::memory_order_release);
+        });
+        // Probe only once the bulk batch is really in flight: checking before
+        // the worker has entered submitBatch would see zero and never collide.
+        while (engine.inFlightBatches() == 0 && !bulkDone.load(std::memory_order_acquire))
+            std::this_thread::yield();
         while (engine.inFlightBatches() > 0) {
             const auto r = engine.submitBatch(probe, 1);
             if (!r.admitted()) {

@@ -58,6 +58,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/fetcam.hpp"
@@ -123,6 +124,9 @@ Args parseArgs(int argc, char** argv) {
                                         "fetcam_serve", "missing value after " + opt);
             return argv[i];
         };
+        auto number = [&](auto& field) {
+            field = numeric::parseNumber<std::remove_reference_t<decltype(field)>>(opt, next());
+        };
         if (opt == "--workload") {
             a.workload = next();
             if (a.workload != "lpm" && a.workload != "tlb" &&
@@ -131,15 +135,15 @@ Args parseArgs(int argc, char** argv) {
                                         "fetcam_serve",
                                         "--workload expects lpm|tlb|classifier|all");
         } else if (opt == "--entries") {
-            a.entries = std::atoll(next().c_str());
+            number(a.entries);
         } else if (opt == "--queries") {
-            a.queries = std::atoll(next().c_str());
+            number(a.queries);
         } else if (opt == "--rows") {
-            a.rows = std::atoi(next().c_str());
+            number(a.rows);
         } else if (opt == "--batch") {
-            a.batch = std::atoi(next().c_str());
+            number(a.batch);
         } else if (opt == "--seed") {
-            a.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+            number(a.seed);
         } else if (opt == "--jobs") {
             try {
                 a.jobs = numeric::parseJobs(next());
@@ -162,31 +166,31 @@ Args parseArgs(int argc, char** argv) {
         } else if (opt == "--persist-entries") {
             a.persistEntries = true;
         } else if (opt == "--listen") {
-            a.listenPort = std::atoi(next().c_str());
+            number(a.listenPort);
         } else if (opt == "--host") {
             a.host = next();
         } else if (opt == "--port-file") {
             a.portFile = next();
         } else if (opt == "--word-bits") {
-            a.wordBits = std::atoi(next().c_str());
+            number(a.wordBits);
         } else if (opt == "--deadline-ms") {
-            a.deadlineMs = std::atof(next().c_str());
+            number(a.deadlineMs);
         } else if (opt == "--coalesce-us") {
-            a.coalesceUs = std::atof(next().c_str());
+            number(a.coalesceUs);
         } else if (opt == "--max-pending") {
-            a.maxPending = std::atoll(next().c_str());
+            number(a.maxPending);
         } else if (opt == "--max-connections") {
-            a.maxConnections = std::atoi(next().c_str());
+            number(a.maxConnections);
         } else if (opt == "--max-batch") {
-            a.maxBatch = std::atoi(next().c_str());
+            number(a.maxBatch);
         } else if (opt == "--read-timeout") {
-            a.readTimeout = std::atof(next().c_str());
+            number(a.readTimeout);
         } else if (opt == "--drain-timeout") {
-            a.drainTimeout = std::atof(next().c_str());
+            number(a.drainTimeout);
         } else if (opt == "--bits-per-cell") {
-            a.bitsPerCell = std::atoi(next().c_str());
+            number(a.bitsPerCell);
         } else if (opt == "--advertise-version") {
-            a.advertiseVersion = std::atoi(next().c_str());
+            number(a.advertiseVersion);
         } else {
             throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
                                     "unknown option " + opt);
@@ -207,9 +211,11 @@ Args parseArgs(int argc, char** argv) {
     if (a.persistEntries && (a.storeDir.empty() || a.listenPort < 0))
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
                                 "--persist-entries requires --listen and --store DIR");
-    if (a.listenPort >= 0 &&
-        (a.wordBits < 1 || a.wordBits > 512 || a.maxBatch < 1 || a.maxPending < 1 ||
-         a.coalesceUs < 0.0 || a.readTimeout <= 0.0 || a.drainTimeout <= 0.0))
+    if (a.listenPort > 65535 ||
+        (a.listenPort >= 0 &&
+         (a.wordBits < 1 || a.wordBits > 512 || a.maxBatch < 1 || a.maxPending < 1 ||
+          a.maxConnections < 1 || a.coalesceUs < 0.0 || a.readTimeout <= 0.0 ||
+          a.drainTimeout <= 0.0)))
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
                                 "--listen argument out of range");
     if (a.bitsPerCell < 1 || a.bitsPerCell > device::kMaxMlcBitsPerCell)
